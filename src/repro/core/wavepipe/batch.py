@@ -590,14 +590,17 @@ def _packed_reports(
     )
     bits = _vector_bits(live_streams, netlist.n_inputs)
     inj_words, inj_masks, inj_active = _pack_injections(bits, plan)
-    ret_words, events = run_plan(
+    ret_words, events, event_stream = run_plan(
         compiled, plan, inj_words, inj_masks, inj_active, separation,
         strict, backend=backend, elide=elide,
     )
 
     if strict and events:
-        raise _interference_error(events[0][3])
+        raise _interference_error(events[0])
     results = _unpack_outputs(ret_words, plan)
+    event_bounds = np.searchsorted(
+        event_stream, np.arange(len(live) + 1)
+    ).tolist()
 
     for position, index in enumerate(live):
         lo = int(plan.stream_base[position])
@@ -609,10 +612,8 @@ def _packed_reports(
             steps_run=int(plan.stream_steps[position]),
             waves_injected=n_waves,
             waves_retired=n_waves,
-            interference=[
-                event
-                for event_stream, _, _, event in events
-                if event_stream == position
+            interference=events[
+                event_bounds[position]:event_bounds[position + 1]
             ],
         )
     return reports  # type: ignore[return-value]

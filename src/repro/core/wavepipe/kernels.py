@@ -71,6 +71,20 @@ into a preallocated ``(n_retire_slots, n_outputs, n_words)`` array; the
 per-wave bit extraction happens once, vectorized, after the loop (in
 ``batch.py``'s report merging) instead of per retirement inside it.
 
+Interference events
+-------------------
+The tracked kernels record events *columnar*, never one Python object
+per event inside the loop.  Both backends hand back a list of raw chunks
+``(flat, step, lane, wa, wb, wc)`` of int arrays — flat MAJ index,
+local step, lane, and the three fan-in wave ids — filtered to each
+lane's kept step region: the fused loop appends one chunk per step that
+had a kept hit (its ``step`` a scalar), the loop nest hands over its
+``ev_*`` buffers as one chunk.  :func:`_materialize_events` turns the
+chunks into scalar-ordered :class:`WaveInterference` records with array
+expressions and one ``np.lexsort``, and returns them together with
+their sorted per-event stream column, which ``batch.py`` slices per
+stream with ``np.searchsorted``.
+
 Resumable sessions
 ------------------
 :class:`SessionState` packages everything the step loop owns — the
@@ -657,6 +671,7 @@ class SessionState:
                 ret_words, ret_slot0, keep_lo, keep_hi, offset, False, 16,
             )
         else:
+            # chunks are only recorded for steps with kept events
             n_events = len(
                 _advance_fused(
                     self, n_steps, inj_words, inj_masks, inj_active,
@@ -766,7 +781,7 @@ def _advance_fused(
     offset: np.ndarray,
     strict_single: bool,
 ) -> list:
-    """Advance *state* ``n_steps`` fused-numpy steps; returns raw events.
+    """Advance *state* ``n_steps`` fused-numpy steps; returns event chunks.
 
     The loop covers absolute steps ``[state.step, state.step +
     n_steps)``: injection slot ``s`` (absolute) fires at step ``s *
@@ -774,9 +789,12 @@ def _advance_fused(
     retire slot ``r`` snapshots into row ``r - ret_slot0`` of
     ``ret_words``.  The one-shot path drives it with zero offsets over a
     fresh state; the streaming path re-enters with the previous feed's
-    step.  ``raw_events`` rows are ``(flat_maj_index, step, lane, wa,
-    wb, wc)`` in the tracked variant (empty when elided); event
-    materialization and ordering live in :func:`run_plan`.
+    step.  The tracked variant returns its kept interference events as
+    columnar raw chunks, one per step that had any: ``(flat, step, lane,
+    wa, wb, wc)`` where ``step`` is that step (a scalar) and the other
+    five are equal-length index/id arrays — flat MAJ index, lane, and the
+    three fan-in wave ids.  The list is empty when elided or clean;
+    materialization and ordering live in :func:`_materialize_events`.
     """
     compiled = state.compiled
     separation = state.separation
@@ -798,7 +816,7 @@ def _advance_fused(
     out_neg = compiled.out_neg[:, None]
     inputs_idx = compiled.inputs
 
-    raw_events: list[tuple[int, int, int, int, int, int]] = []
+    chunks: list[tuple] = []
     earliest_event = None
 
     take = np.take
@@ -873,22 +891,19 @@ def _advance_fused(
                 np.copyto(wacc, np.int32(-2), where=m1)
                 np.copyto(wacc, np.int32(-1), where=ps.warming)
                 if hit.any():
-                    flat_lo = ps.flat_lo
-                    # lint: alloc-ok(interference-event path: reached only when hit.any is true — never on the balanced netlists the flow produces; per-event cost is irrelevant next to materializing the events)
-                    for row, lane in zip(*np.nonzero(hit)):
-                        if not keep_lo[lane] <= step < keep_hi[lane]:
-                            continue  # another lane owns this tape step
-                        raw_events.append(
+                    # lint: alloc-ok(interference-event path: reached only when hit.any is true, never on the balanced netlists the flow produces; one columnar chunk per step, not one object per event)
+                    rows, lanes = np.nonzero(hit)
+                    kept = (keep_lo[lanes] <= step) & (step < keep_hi[lanes])
+                    rows, lanes = rows[kept], lanes[kept]  # lane owns step
+                    if lanes.size:
+                        chunks.append(
                             (
-                                flat_lo + int(row),
-                                step,
-                                int(lane),
-                                int(wa[row, lane]),
-                                int(wb[row, lane]),
-                                int(wc[row, lane]),
+                                rows + ps.flat_lo, step, lanes,
+                                wa[rows, lanes], wb[rows, lanes],
+                                wc[rows, lanes],
                             )
                         )
-                        absolute = step + int(offset[lane])
+                        absolute = step + int(offset[lanes].min())
                         if earliest_event is None or absolute < earliest_event:
                             earliest_event = absolute
         if n_maj:
@@ -917,10 +932,10 @@ def _advance_fused(
             and step > earliest_event
         ):
             state.step = step + 1
-            return raw_events
+            return chunks
 
     state.step = step0 + n_steps
-    return raw_events
+    return chunks
 
 
 def _run_fused(
@@ -933,7 +948,7 @@ def _run_fused(
     strict: bool,
     elide: bool,
 ) -> tuple[np.ndarray, list]:
-    """Fused numpy step loop; returns ``(ret_words, raw_events)``.
+    """Fused numpy step loop; returns ``(ret_words, chunks)``.
 
     One-shot contract: a fresh :class:`SessionState` advanced across the
     plan's whole timeline with zero offsets, then discarded.
@@ -947,12 +962,12 @@ def _run_fused(
         (n_ret, compiled.out_node.size, plan.n_words), dtype=_WORD
     )
     strict_single = bool(strict and plan.stream_waves.size == 1)
-    raw_events = _advance_fused(
+    chunks = _advance_fused(
         state, plan.local_steps, inj_words, inj_masks, inj_active, 0,
         ret_words, 0, plan.keep_lo, plan.keep_hi, plan.offset,
         strict_single,
     )
-    return ret_words, raw_events
+    return ret_words, chunks
 
 
 # ----------------------------------------------------------------------
@@ -1175,11 +1190,15 @@ def _advance_loop_nest(
 ) -> tuple[int, list]:
     """Advance *state* ``n_steps`` loop-nest steps (numba when available).
 
-    Returns ``(n_events, raw_events)``.  ``n_events`` may exceed
-    *capacity*, in which case ``raw_events`` is truncated and the caller
-    must retry over a *fresh* state with larger buffers (the kernels
-    mutate the state in place, so a capacity overflow poisons it for
-    resumption — the one-shot driver below simply rebuilds).
+    Returns ``(n_events, chunks)``: the tracked kernel's ``ev_*`` buffers
+    handed over as one raw chunk ``(flat, step, lane, wa, wb, wc)`` of
+    arrays sliced to the recorded events (the same layout
+    :func:`_advance_fused` emits per step; no chunk when there are
+    none).  ``n_events`` may exceed *capacity*, in which case the chunk
+    is truncated and the caller must retry over a *fresh* state with
+    larger buffers (the kernels mutate the state in place, so a capacity
+    overflow poisons it for resumption — the one-shot driver below
+    simply rebuilds).
     """
     compiled = state.compiled
     new_maj, new_buf, wacc_maj, wacc_buf = state._nest_scratch()
@@ -1216,14 +1235,11 @@ def _advance_loop_nest(
         ev_k, ev_step, ev_lane, ev_a, ev_b, ev_c,
     )
     state.step += n_steps
-    raw_events = [
-        (
-            int(ev_k[i]), int(ev_step[i]), int(ev_lane[i]),
-            int(ev_a[i]), int(ev_b[i]), int(ev_c[i]),
-        )
-        for i in range(min(n_events, capacity))
-    ]
-    return n_events, raw_events
+    kept = min(n_events, capacity)
+    if not kept:
+        return n_events, []
+    chunk = (ev_k, ev_step, ev_lane, ev_a, ev_b, ev_c)
+    return n_events, [tuple(column[:kept] for column in chunk)]
 
 
 def _run_loop_nest(
@@ -1262,7 +1278,7 @@ def _run_loop_nest(
     )
     capacity = 1024
     while True:
-        n_events, raw_events = _advance_loop_nest(
+        n_events, chunks = _advance_loop_nest(
             fresh_state(), plan.local_steps, inj_words, inj_masks,
             inj_lane, 0, ret_words, 0, plan.keep_lo, plan.keep_hi,
             plan.offset, strict_single, capacity,
@@ -1270,7 +1286,7 @@ def _run_loop_nest(
         if n_events <= capacity:
             break
         capacity = 2 * n_events  # one retry always suffices
-    return ret_words, raw_events
+    return ret_words, chunks
 
 
 # ----------------------------------------------------------------------
@@ -1286,60 +1302,85 @@ def run_plan(
     strict: bool,
     backend: Optional[str] = None,
     elide: Optional[bool] = None,
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, list, np.ndarray]:
     """Advance every lane of *plan* with the selected kernel variant.
 
-    Returns ``(ret_words, events)``: the per-retire-slot output-word
-    snapshots (bit extraction happens in the caller's report merging) and
-    the kept interference records ``(stream, absolute_step, order,
-    WaveInterference)`` sorted the way the scalar loop emits them (per
-    stream, then by step, then by within-phase order).  *elide* of
-    ``None`` applies :func:`can_elide_tracking`; an explicit ``True`` is
-    rejected when the static proof does not hold.
+    Returns ``(ret_words, events, event_stream)``: the per-retire-slot
+    output-word snapshots (bit extraction happens in the caller's report
+    merging), the kept :class:`WaveInterference` events sorted the way
+    the scalar loop emits them (per stream, then by step, then by
+    within-phase order), and the int64 plan-stream index of each event —
+    non-decreasing, so one ``np.searchsorted`` slices any stream's
+    events.  *elide* of ``None`` applies :func:`can_elide_tracking`; an
+    explicit ``True`` is rejected when the static proof does not hold.
     """
     backend = resolve_backend(backend)
     elide = resolve_tracking(
         compiled, separation, None if elide is None else not elide
     )
     if backend == "jit":
-        ret_words, raw = _run_loop_nest(
+        ret_words, chunks = _run_loop_nest(
             compiled, plan, inj_words, inj_masks, separation, strict, elide
         )
     else:
-        ret_words, raw = _run_fused(
+        ret_words, chunks = _run_fused(
             compiled, plan, inj_words, inj_masks, inj_active, separation,
             strict, elide,
         )
-    return ret_words, _materialize_events(compiled, plan, raw)
+    events, event_stream = _materialize_events(compiled, plan, chunks)
+    return ret_words, events, event_stream
 
 
 def _materialize_events(
-    compiled: CompiledWaveNetlist, plan: "_LanePlan", raw_events: list
-) -> list:
-    """Raw kernel event rows -> sorted scalar-ordered event records.
+    compiled: CompiledWaveNetlist, plan: "_LanePlan", chunks: list
+) -> tuple[list, np.ndarray]:
+    """Raw columnar event chunks -> ``(events, event_stream)``.
 
-    Kept step regions tile each stream's timeline, so ``(stream,
-    absolute step)`` pairs are unique across lanes and sorting restores
-    the scalar loop's emission order regardless of the order the kernel
-    discovered the events in.
+    Each chunk is ``(flat, step, lane, wa, wb, wc)`` with ``step`` a
+    scalar or an array (both kernels' layouts).  The columns are
+    concatenated and every per-event quantity is an array expression:
+    within-phase order, absolute step, stream, and the reported wave ids
+    (non-negative fan-in ids shifted by the lane's ``wave0``, sorted and
+    de-duplicated — 2 or 3 of them).  Kept step regions tile each
+    stream's timeline, so ``(stream, absolute step, order)`` is unique
+    across lanes and one ``np.lexsort`` restores the scalar loop's
+    emission order regardless of the order the kernel discovered the
+    events in.  Returns the sorted :class:`WaveInterference` list and
+    its sorted int64 stream column.
     """
-    events = []
-    maj_ptr = compiled.maj_ptr
-    p = compiled.n_phases
-    for flat, step, lane, wa, wb, wc in raw_events:
-        order = flat - int(maj_ptr[step % p])
-        absolute = step + int(plan.offset[lane])
-        wave0 = int(plan.wave0[lane])
-        ids = sorted({w + wave0 for w in (wa, wb, wc) if w >= 0})
-        events.append(
-            (
-                int(plan.stream[lane]),
-                absolute,
-                order,
-                WaveInterference(
-                    absolute, int(compiled.maj_comp[flat]), tuple(ids)
-                ),
-            )
+    if not chunks:
+        return [], np.empty(0, dtype=np.int64)
+    columns = zip(*(np.broadcast_arrays(*chunk) for chunk in chunks))
+    flat, step, lane, wa, wb, wc = (
+        np.concatenate(column).astype(np.int64, copy=False)
+        for column in columns
+    )
+    order = flat - compiled.maj_ptr[step % compiled.n_phases]
+    absolute = step + plan.offset[lane]
+    stream = plan.stream[lane].astype(np.int64, copy=False)
+    sort = np.lexsort((order, absolute, stream))
+
+    # ids: negatives (-1 warming, -2 constant) and repeats become a
+    # sentinel that two row-sorts push behind the distinct valid ids (a
+    # hit always leaves 2 or 3 of them in front)
+    wave_ids = np.stack((wa, wb, wc), axis=1)[sort]
+    sentinel = np.iinfo(np.int64).max
+    wave_ids = np.where(
+        wave_ids >= 0, wave_ids + plan.wave0[lane[sort], None], sentinel
+    )
+    wave_ids.sort(axis=1)
+    wave_ids[:, 1:][wave_ids[:, 1:] == wave_ids[:, :-1]] = sentinel
+    wave_ids.sort(axis=1)
+    n_ids = (wave_ids != sentinel).sum(axis=1).tolist()
+    id_tuples = [
+        tuple(ids[:n]) for ids, n in zip(wave_ids.tolist(), n_ids)
+    ]
+    events = list(
+        map(
+            WaveInterference,
+            absolute[sort].tolist(),
+            compiled.maj_comp[flat[sort]].tolist(),
+            id_tuples,
         )
-    events.sort(key=lambda item: item[:3])
-    return events
+    )
+    return events, stream[sort]

@@ -6,9 +6,14 @@ outputs, same interference events (contents *and* order), same counters —
 on balanced and deliberately unbalanced netlists, across phase counts and
 injection modes, across the 64-lane word boundaries of the multi-word
 layout (explicit ``lanes=`` forcings pin the word count), and for batched
-independent streams (``simulate_streams``).
+independent streams (``simulate_streams``).  The paper's own circuits
+(ctrl, i2c) run through the FO3 step without buffer insertion, so the
+suite also sees structured unbalanced netlists, not only random ones.
 """
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +31,7 @@ from repro.core.wavepipe import (
     wave_pipeline,
 )
 from repro.errors import SimulationError
+from repro.suite.table import get_benchmark
 
 from helpers import build_adder_mig, build_random_mig
 from strategies import netlists, stream_lengths
@@ -325,3 +331,104 @@ class TestCompileCache:
         three = compile_netlist(netlist, ClockingScheme(3))
         assert two.n_phases == 2 and three.n_phases == 3
         assert compile_netlist(netlist, ClockingScheme(2)) is two
+
+
+@lru_cache(maxsize=None)
+def _fo3_only(name):
+    """A suite circuit after FO3 restriction only: unbalanced on purpose."""
+    return wave_pipeline(get_benchmark(name).build(), balance=False).netlist
+
+
+def _bool_streams(netlist, lengths, seed):
+    """Seeded ``(waves, inputs)`` bool arrays, the serving tier's format."""
+    return [
+        np.random.default_rng([seed, index]).random(
+            (length, netlist.n_inputs)
+        ) < 0.5
+        for index, length in enumerate(lengths)
+    ]
+
+
+class TestStructuredUnbalanced:
+    """FO3-only ctrl/i2c: heavy interference on structured circuits.
+
+    Every stream of a batch, run on either kernel backend, must equal
+    its own solo packed run field by field (interference contents and
+    order included).  The solo references run on the fused backend: the
+    uncompiled loop nest is slow, and the fused solo path is pinned to
+    the oracle by the rest of this module.  Short samples are compared
+    with the scalar oracle directly.
+    """
+
+    #: ragged batches with empty streams interleaved (i2c is ~10x larger)
+    RAGGED = {
+        "ctrl": (5, 0, 17, 0, 1, 32, 0, 9),
+        "i2c": (3, 0, 8, 0, 1, 5),
+    }
+
+    def _assert_streams_match_solo(self, netlist, streams, backend):
+        reports = simulate_streams_packed(netlist, streams, backend=backend)
+        assert len(reports) == len(streams)
+        for report, stream in zip(reports, streams):
+            solo = simulate_waves_packed(netlist, stream, backend="fused")
+            assert report == solo
+        assert any(report.interference for report in reports)
+
+    @pytest.mark.parametrize("backend", ["fused", "jit"])
+    @pytest.mark.parametrize("name", ["ctrl", "i2c"])
+    def test_ragged_batches_match_solo_runs(self, name, backend):
+        netlist = _fo3_only(name)
+        streams = _bool_streams(netlist, self.RAGGED[name], seed=3)
+        self._assert_streams_match_solo(netlist, streams, backend)
+
+    @pytest.mark.parametrize("backend", ["fused", "jit"])
+    def test_bench_shape_12x32_matches_solo_runs(self, backend):
+        # the many-stream call of the benchmark's unbalanced workload
+        netlist = _fo3_only("ctrl")
+        streams = _bool_streams(netlist, [32] * 12, seed=1)
+        self._assert_streams_match_solo(netlist, streams, backend)
+
+    @pytest.mark.parametrize("backend", ["fused", "jit"])
+    @pytest.mark.parametrize("name", ["ctrl", "i2c"])
+    def test_short_sample_matches_scalar_oracle(self, name, backend):
+        netlist = _fo3_only(name)
+        streams = _bool_streams(netlist, (4, 0, 6), seed=5)
+        oracle = simulate_streams(
+            netlist, [stream.tolist() for stream in streams],
+            engine="python",
+        )
+        packed = simulate_streams_packed(netlist, streams, backend=backend)
+        assert packed == oracle
+        assert not oracle[0].coherent
+
+    @pytest.mark.parametrize("backend", ["fused", "jit"])
+    def test_strict_raises_first_interfering_stream(self, backend):
+        # stream 0 is clean (one wave cannot interfere), streams 1 and 2
+        # both interfere.  Interference is structural — a stream's first
+        # event does not depend on its values or length — so the two
+        # streams share their first event; the stream-major ordering with
+        # stream 2 ahead in absolute step is pinned on synthetic events
+        # in test_kernels.py.  Stream 2 is long enough to span several
+        # lanes, so its events are discovered at other local steps.
+        netlist = _fo3_only("ctrl")
+        streams = _bool_streams(netlist, (1, 2, 200), seed=7)
+        with pytest.raises(SimulationError) as reference:
+            simulate_streams(
+                netlist, [stream.tolist() for stream in streams],
+                strict=True, engine="python",
+            )
+        with pytest.raises(SimulationError) as packed:
+            simulate_streams_packed(
+                netlist, streams, strict=True, backend=backend
+            )
+        assert str(packed.value) == str(reference.value)
+        clean, first, second = simulate_streams_packed(
+            netlist, streams, backend=backend
+        )
+        assert clean.coherent and first.interference
+        assert second.interference
+        event = first.interference[0]
+        assert str(packed.value) == (
+            f"wave interference at step {event.step}, component "
+            f"{event.component}: waves {event.wave_ids}"
+        )

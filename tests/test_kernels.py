@@ -12,7 +12,9 @@ kernelized step loop (`repro.core.wavepipe.kernels`):
   it there raises;
 * strict-mode error messages are unchanged across every backend;
 * the lane planner's cost model is monotone, respects the 16-word cap,
-  and shifts with the per-backend calibration constants.
+  and shifts with the per-backend calibration constants;
+* columnar event materialization equals the per-row formula it
+  replaced, on generated raw chunks in both kernels' layouts.
 
 Without numba the ``jit`` backend runs as the uncompiled loop nest — the
 exact code numba would compile — so these tests exercise the JIT code
@@ -20,7 +22,9 @@ path in both CI configurations.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,11 +51,13 @@ from repro.core.wavepipe.batch import (
 )
 from repro.core.wavepipe.kernels import (
     PLANNER_STEP_OVERHEAD,
+    _materialize_events,
     default_backend,
     planner_step_overhead,
     resolve_backend,
     set_default_backend,
 )
+from repro.core.wavepipe.simulator import WaveInterference
 from repro.errors import SimulationError
 
 from helpers import build_adder_mig, build_random_mig
@@ -432,3 +438,154 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_JIT", "1")
         expected = "jit" if jit_available() else "fused"
         assert default_backend() == expected
+
+
+# ----------------------------------------------------------------------
+# event materialization
+# ----------------------------------------------------------------------
+def _per_row_events(compiled, plan, chunks):
+    """The per-row formula the columnar materialization replaced."""
+    events = []
+    p = compiled.n_phases
+    for chunk in chunks:
+        for flat, step, lane, wa, wb, wc in zip(
+            *(np.broadcast_arrays(*chunk))
+        ):
+            flat, step, lane = int(flat), int(step), int(lane)
+            order = flat - int(compiled.maj_ptr[step % p])
+            absolute = step + int(plan.offset[lane])
+            wave0 = int(plan.wave0[lane])
+            ids = sorted({int(w) + wave0 for w in (wa, wb, wc) if w >= 0})
+            events.append(
+                (
+                    int(plan.stream[lane]),
+                    absolute,
+                    order,
+                    WaveInterference(
+                        absolute, int(compiled.maj_comp[flat]), tuple(ids)
+                    ),
+                )
+            )
+    events.sort(key=lambda item: item[:3])
+    return events
+
+
+@st.composite
+def _raw_event_chunks(draw):
+    """A compiled/plan stand-in and raw chunks in both kernels' layouts.
+
+    Fused chunks carry one scalar step and int32 wave ids; loop-nest
+    chunks carry a step per event and int64 columns.  Wave ids span
+    ``-2`` (constant) and ``-1`` (warming) and a narrow non-negative
+    range, so repeated ids (2-id tuples) are common.  Several streams
+    own contiguous lanes with non-zero ``offset``/``wave0``.
+    """
+    p = draw(st.integers(2, 4))
+    n_maj = draw(st.integers(1, 12))
+    cuts = sorted(
+        draw(st.lists(st.integers(0, n_maj), min_size=p - 1, max_size=p - 1))
+    )
+    compiled = SimpleNamespace(
+        n_phases=p,
+        maj_ptr=np.array([0, *cuts, n_maj], dtype=np.int64),
+        maj_comp=np.array(
+            draw(st.permutations(range(100, 100 + n_maj))), dtype=np.int64
+        ),
+    )
+    lanes_per_stream = draw(st.lists(st.integers(1, 3), min_size=1,
+                                     max_size=4))
+    n_lanes = sum(lanes_per_stream)
+    per_lane = st.lists(st.integers(0, 40), min_size=n_lanes,
+                        max_size=n_lanes)
+    plan = SimpleNamespace(
+        stream=np.repeat(
+            np.arange(len(lanes_per_stream), dtype=np.int64),
+            lanes_per_stream,
+        ),
+        offset=np.array(draw(per_lane), dtype=np.int64),
+        wave0=np.array(draw(per_lane), dtype=np.int64),
+    )
+    flat = st.integers(0, n_maj - 1)
+    lane = st.integers(0, n_lanes - 1)
+    step = st.integers(0, 30)
+    wave_id = st.integers(-2, 4)
+    chunks = []
+    for fused in draw(st.lists(st.booleans(), max_size=5)):
+        if fused:
+            rows = draw(
+                st.lists(st.tuples(flat, lane, wave_id, wave_id, wave_id),
+                         min_size=1, max_size=6)
+            )
+            f, ln, a, b, c = (np.array(col) for col in zip(*rows))
+            chunks.append(
+                (f.astype(np.int64), draw(step), ln.astype(np.int64),
+                 a.astype(np.int32), b.astype(np.int32), c.astype(np.int32))
+            )
+        else:
+            rows = draw(
+                st.lists(
+                    st.tuples(flat, step, lane, wave_id, wave_id, wave_id),
+                    min_size=1, max_size=8,
+                )
+            )
+            chunks.append(
+                tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+            )
+    return compiled, plan, chunks
+
+
+class TestMaterializeEvents:
+    """``_materialize_events`` equals the per-row formula it replaced."""
+
+    @given(_raw_event_chunks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_formula(self, case):
+        compiled, plan, chunks = case
+        events, event_stream = _materialize_events(compiled, plan, chunks)
+        reference = _per_row_events(compiled, plan, chunks)
+        assert events == [record[3] for record in reference]
+        assert event_stream.dtype == np.int64
+        assert event_stream.tolist() == [record[0] for record in reference]
+        for event in events:
+            assert type(event.step) is int
+            assert type(event.component) is int
+            assert all(type(wave) is int for wave in event.wave_ids)
+
+    def test_no_chunks(self):
+        compiled = SimpleNamespace(
+            n_phases=3, maj_ptr=np.zeros(4, dtype=np.int64),
+            maj_comp=np.zeros(0, dtype=np.int64),
+        )
+        plan = SimpleNamespace(
+            stream=np.zeros(1, dtype=np.int64),
+            offset=np.zeros(1, dtype=np.int64),
+            wave0=np.zeros(1, dtype=np.int64),
+        )
+        events, event_stream = _materialize_events(compiled, plan, [])
+        assert events == [] and event_stream.size == 0
+
+    def test_stream_major_order(self):
+        # stream 2's event is at an earlier absolute step than stream 1's
+        # and is discovered first; the first event must still be stream
+        # 1's (strict mode raises it), and stream 0 stays clean
+        compiled = SimpleNamespace(
+            n_phases=3, maj_ptr=np.array([0, 1, 2, 2], dtype=np.int64),
+            maj_comp=np.array([7, 9], dtype=np.int64),
+        )
+        plan = SimpleNamespace(
+            stream=np.array([0, 1, 2], dtype=np.int64),
+            offset=np.array([0, 0, 0], dtype=np.int64),
+            wave0=np.array([0, 0, 0], dtype=np.int64),
+        )
+        chunks = [
+            (np.array([0]), 3, np.array([2]), np.array([0], np.int32),
+             np.array([1], np.int32), np.array([-2], np.int32)),
+            (np.array([1]), 10, np.array([1]), np.array([1], np.int32),
+             np.array([0], np.int32), np.array([1], np.int32)),
+        ]
+        events, event_stream = _materialize_events(compiled, plan, chunks)
+        assert event_stream.tolist() == [1, 2]
+        assert events == [
+            WaveInterference(10, 9, (0, 1)),
+            WaveInterference(3, 7, (0, 1)),
+        ]
