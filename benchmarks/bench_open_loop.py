@@ -30,8 +30,7 @@ import sys
 
 import numpy
 
-from repro.core.wavepipe import ClockingScheme, jit_available, wave_pipeline
-from repro.core.wavepipe.kernels import default_backend
+from repro.core.wavepipe import ClockingScheme, wave_pipeline
 from repro.serve import (
     OpenLoopScenario,
     SimulationClient,
@@ -126,8 +125,6 @@ def _metadata(mode: str) -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
     }
 
 

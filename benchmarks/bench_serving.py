@@ -41,13 +41,11 @@ import numpy
 
 from repro.core.wavepipe import (
     ClockingScheme,
-    jit_available,
     random_vectors,
     simulate_waves,
     simulate_waves_packed,
     wave_pipeline,
 )
-from repro.core.wavepipe.kernels import default_backend
 from repro.serve import SimulationServer, run_closed_loop
 from repro.suite.table import build_benchmark
 
@@ -104,8 +102,8 @@ def bench_case(
     total_waves = n_requests * n_waves
 
     # warm-up must run the kernel (empty streams short-circuit before
-    # it): compile, scratch setup, and JIT compilation stay out of
-    # both measured windows — one real stream per netlist
+    # it): compile and scratch setup stay out of both measured
+    # windows — one real stream per netlist
     warm_streams = [
         numpy.asarray(
             random_vectors(netlist.n_inputs, n_waves, seed=seed),
@@ -192,8 +190,6 @@ def _metadata(mode: str) -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
     }
 
 

@@ -39,13 +39,11 @@ import numpy
 
 from repro.core.wavepipe import (
     ClockingScheme,
-    jit_available,
     random_vectors,
     simulate_waves_packed,
     wave_pipeline,
 )
 from repro.core.wavepipe.batch import open_packed_session
-from repro.core.wavepipe.kernels import default_backend
 from repro.serve import SimulationServer, run_streaming
 from repro.suite.table import build_benchmark
 
@@ -231,8 +229,6 @@ def _metadata(mode: str) -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
     }
 
 

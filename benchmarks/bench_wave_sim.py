@@ -3,8 +3,8 @@
 
 Runs the scalar oracle and the packed engine's kernel variants on
 wave-pipelined suite benchmarks, verifies every report is bit-identical
-(scalar vs fused vs JIT, tracked vs elided), and emits one JSON document
-with the timings, speedups, platform/backend metadata, and the lane plan
+(scalar vs packed, tracked vs elided), and emits one JSON document
+with the timings, speedups, platform metadata, and the lane plan
 each case ran under, so the engine's performance is tracked in the bench
 trajectory (CI uploads the JSON as a workflow artifact).
 
@@ -42,13 +42,11 @@ import numpy
 
 from repro.core.wavepipe import (
     describe_packed_run,
-    jit_available,
     random_vectors,
     simulate_waves,
     simulate_waves_packed,
     wave_pipeline,
 )
-from repro.core.wavepipe.kernels import default_backend
 from repro.suite.table import build_benchmark
 
 #: (suite benchmark, waves, scalar repeats, packed repeats, forced lanes)
@@ -78,7 +76,7 @@ def _time_best(function, repeats):
 
 def bench_case(name: str, n_waves: int, scalar_repeats: int,
                packed_repeats: int, lanes=None, seed: int = 7) -> dict:
-    """Time the engines on one benchmark; verify backend bit-identity."""
+    """Time the engines on one benchmark; verify variant bit-identity."""
     mig = build_benchmark(name)
     netlist = wave_pipeline(mig, fanout_limit=3, verify=False).netlist
     vectors = random_vectors(netlist.n_inputs, n_waves, seed=seed)
@@ -91,7 +89,7 @@ def bench_case(name: str, n_waves: int, scalar_repeats: int,
         lambda: simulate_waves(netlist, vectors, engine="python"),
         scalar_repeats,
     )
-    # the default packed path (auto backend, auto elision): the headline
+    # the default packed path (auto elision): the headline
     packed_seconds, packed = _time_best(
         lambda: simulate_waves_packed(netlist, vectors, lanes=lanes),
         packed_repeats,
@@ -105,18 +103,6 @@ def bench_case(name: str, n_waves: int, scalar_repeats: int,
         packed_repeats,
     )
     identical = scalar == packed == tracked  # dataclass ==: every field
-    # explicit JIT backend: timed when numba compiles it, otherwise run
-    # once uncompiled (cheap for elided plans) so the backend matrix is
-    # identity-checked in the no-numba configuration too
-    jit_seconds, jitted = _time_best(
-        lambda: simulate_waves_packed(
-            netlist, vectors, lanes=lanes, backend="jit"
-        ),
-        packed_repeats if jit_available() else 1,
-    )
-    identical = identical and jitted == scalar
-    if not jit_available():
-        jit_seconds = None  # uncompiled loop nest: identity only
 
     stats = netlist.stats()
     return {
@@ -126,16 +112,13 @@ def bench_case(name: str, n_waves: int, scalar_repeats: int,
         "depth": stats.depth,
         "waves": n_waves,
         "lanes": "auto" if lanes is None else lanes,
-        "plan": plan,  # backend, elision, lanes/words/steps actually run
+        "plan": plan,  # elision, lanes/words/steps actually run
         "steps": packed.steps_run,
         "coherent": packed.coherent,
         "compile_seconds": round(compile_seconds, 6),
         "scalar_seconds": round(scalar_seconds, 6),
         "packed_seconds": round(packed_seconds, 6),
         "tracked_seconds": round(tracked_seconds, 6),
-        "jit_seconds": (
-            None if jit_seconds is None else round(jit_seconds, 6)
-        ),
         "speedup": round(scalar_seconds / packed_seconds, 2),
         "tracked_speedup": round(scalar_seconds / tracked_seconds, 2),
         "identical_reports": identical,
@@ -150,8 +133,6 @@ def _metadata(mode: str) -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "backend": default_backend(),
-        "jit_available": jit_available(),
     }
 
 

@@ -206,7 +206,6 @@ class Batcher:
     def plan(
         self,
         batch: Batch,
-        backend: Optional[str] = None,
         track: Optional[bool] = None,
     ) -> dict:
         """Lane plan of *batch* as the packed engine will run it.
@@ -225,7 +224,7 @@ class Batcher:
         # allocated at a recycled address after the old one was
         # collected; holding the reference in the bounded memo keeps
         # the id stable for exactly as long as the entry lives
-        cache_key = (batch.netlist, batch.key, lengths, backend, track)
+        cache_key = (batch.netlist, batch.key, lengths, track)
         with self._plan_lock:
             cached = self._plan_memo.get(cache_key)
         if cached is not None:
@@ -235,7 +234,6 @@ class Batcher:
             list(lengths),
             clocking=batch.clocking,
             pipelined=batch.pipelined,
-            backend=backend,
             track=track,
         )
         with self._plan_lock:

@@ -27,8 +27,10 @@ Design
 * **Supervised crash recovery.**  A worker that dies under a batch
   (OOM killer, segfault, ``kill -9``, injected chaos) surfaces as a
   broken pipe or a silent exit; one that *hangs* is detected by the
-  bounded ``Connection.poll`` dispatch loop (``dispatch_timeout_s``)
-  and SIGKILL-reaped.  Either way the slot is respawned under the
+  bounded ``Connection.poll`` dispatch loop (``dispatch_timeout_s``,
+  counted from the worker's ``ready`` signal, so a fresh worker's
+  interpreter start-up never reads as a hang) and SIGKILL-reaped.
+  Either way the slot is respawned under the
   :class:`~repro.serve.supervisor.WorkerSupervisor` policy — exponential
   backoff per consecutive failure, a crash-loop circuit breaker that
   takes a flapping slot out of rotation (sticky groups are rerouted to
@@ -95,6 +97,11 @@ DEFAULT_STOP_TIMEOUT_S = 10.0
 #: are both detected within one tick.
 POLL_TICK_S = 0.05
 
+#: Seconds a freshly spawned worker may take to import the engine and
+#: send ``("ready",)`` when hang detection is on; the dispatch timeout
+#: only starts once the worker is ready.
+BOOT_TIMEOUT_S = 60.0
+
 
 def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a child
     """Loop of one shard process: receive batches, simulate, reply.
@@ -102,8 +109,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
     (Excluded from coverage measurement: this body runs in spawned
     child processes, outside the parent's coverage tracer.)
     """
-    # imported here so the spawn-time module import stays cheap and the
-    # child resolves its *own* kernel backend (numba may differ)
+    # imported here so the spawn-time module import stays cheap
     from ..core.wavepipe.batch import (
         open_packed_session,
         simulate_streams_packed,
@@ -111,6 +117,10 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
     from ..core.wavepipe.clocking import ClockingScheme
     from ..core.wavepipe.kernels import compile_netlist
 
+    try:
+        conn.send(("ready",))  # booted: dispatch timeouts start now
+    except OSError:
+        return  # parent went away while we were importing
     netlists: "OrderedDict[tuple, object]" = OrderedDict()
     sessions: dict = {}  # session id -> PackedSession (worker-side state)
 
@@ -180,12 +190,12 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
             continue
         reply: tuple[str, object]
         if kind == "s_open":
-            # ("s_open", sid, netlist, n_phases, pipelined, backend,
-            #  track): create (or recreate, for a feed-log replay) the
+            # ("s_open", sid, netlist, n_phases, pipelined, track):
+            # create (or recreate, for a feed-log replay) the
             # worker-side engine session.  The netlist is always shipped
             # — sessions are long-lived, so the one-time pickle cost is
             # amortized across every feed that follows.
-            _, sid, netlist, n_phases, pipelined, backend, track = message
+            _, sid, netlist, n_phases, pipelined, track = message
             try:
                 stale = sessions.pop(sid, None)
                 if stale is not None:
@@ -194,7 +204,6 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                     netlist,
                     clocking=ClockingScheme(n_phases),
                     pipelined=pipelined,
-                    backend=backend,
                     track=track,
                     validate=False,  # validated in the parent at open time
                 )
@@ -255,7 +264,7 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                 return
             continue
         # ("run", key, netlist | None, n_phases, pipelined, streams,
-        #  backend, track, fault)
+        #  track, fault)
         (
             _,
             key,
@@ -263,7 +272,6 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
             n_phases,
             pipelined,
             streams,
-            backend,
             track,
             fault,
         ) = message
@@ -288,7 +296,6 @@ def _worker_main(conn: Connection) -> None:  # pragma: no cover - runs in a chil
                 clocking=ClockingScheme(n_phases),
                 pipelined=pipelined,
                 strict=False,
-                backend=backend,
                 track=track,
                 validate=False,  # validated in the parent at submit time
             )
@@ -323,6 +330,8 @@ class _Worker:
     known: "OrderedDict[tuple, object]" = field(
         default_factory=OrderedDict
     )
+    #: set once the worker's ``("ready",)`` message has been received
+    booted: bool = False
 
 
 class _AttemptFailed(Exception):
@@ -393,8 +402,10 @@ class ProcessShardPool:
         Optional callback invoked once per crash-loop circuit breaker
         trip.
     dispatch_timeout_s:
-        Upper bound on one dispatch's reply wait.  A worker that has
-        neither replied nor died within it is *hung*: it is SIGKILLed,
+        Upper bound on one dispatch's reply wait, counted from the
+        worker's ready signal (a fresh worker first gets
+        :data:`BOOT_TIMEOUT_S` to boot).  A worker that has neither
+        replied nor died within it is *hung*: it is SIGKILLed,
         the hang counts as a slot failure, and the batch retries under
         its budget.  ``None`` (default) disables hang detection — the
         reply wait is still a bounded poll loop (worker death without
@@ -708,9 +719,10 @@ class ProcessShardPool:
         a hung worker, which is SIGKILL-reaped before the attempt fails.
         """
         timeout_s = self._dispatch_timeout_s
-        deadline_at = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
+        limit_s: Optional[float] = None
+        if timeout_s is not None:
+            limit_s = timeout_s if worker.booted else BOOT_TIMEOUT_S
+        deadline_at = None if limit_s is None else time.monotonic() + limit_s
         while True:
             tick = POLL_TICK_S
             if deadline_at is not None:
@@ -725,13 +737,21 @@ class ProcessShardPool:
                     if self._on_hang is not None:
                         self._on_hang()
                     raise _AttemptFailed(
-                        f"worker hung past the {timeout_s:.3f}s "
-                        "dispatch timeout and was killed"
+                        f"worker hung past the {limit_s:.3f}s "
+                        + ("dispatch" if worker.booted else "boot")
+                        + " timeout and was killed"
                     )
                 tick = min(tick, max(0.0, remaining))
             try:
                 if worker.conn.poll(tick):
-                    return worker.conn.recv()
+                    reply = worker.conn.recv()
+                    if reply[0] != "ready":
+                        return reply
+                    worker.booted = True
+                    if timeout_s is not None:
+                        limit_s = timeout_s
+                        deadline_at = time.monotonic() + timeout_s
+                    continue
             except (EOFError, BrokenPipeError, ConnectionResetError,
                     OSError):
                 raise _AttemptFailed(
@@ -749,7 +769,6 @@ class ProcessShardPool:
         wire: list,
         n_phases: int,
         pipelined: bool,
-        backend: Optional[str],
         track: Optional[bool],
         route: object,
     ) -> list:
@@ -790,7 +809,6 @@ class ProcessShardPool:
                         int(n_phases),
                         bool(pipelined),
                         wire,
-                        backend,
                         track,
                         directive,
                     )
@@ -826,7 +844,6 @@ class ProcessShardPool:
         *,
         n_phases: int = 3,
         pipelined: bool = True,
-        backend: Optional[str] = None,
         track: Optional[bool] = None,
         route_key: object = None,
     ) -> list:
@@ -870,7 +887,7 @@ class ProcessShardPool:
                     try:
                         return self._attempt(
                             index, key, netlist, wire, int(n_phases),
-                            bool(pipelined), backend, track, route,
+                            bool(pipelined), track, route,
                         )
                     except _AttemptFailed as failed:
                         # recover the slot while still holding its lock:
@@ -915,7 +932,6 @@ class ProcessShardPool:
         *,
         n_phases: int = 3,
         pipelined: bool = True,
-        backend: Optional[str] = None,
         track: Optional[bool] = None,
         route_key: object = None,
     ) -> int:
@@ -962,7 +978,6 @@ class ProcessShardPool:
                                     netlist,
                                     int(n_phases),
                                     bool(pipelined),
-                                    backend,
                                     track,
                                 )
                             )

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import build_adder_mig, build_random_mig
 
+from repro.core.wavepipe import kernels
 from repro.devtools import sanitize
 
 #: Session-wide registry when REPRO_SANITIZE is on, else ``None``.
@@ -26,6 +27,26 @@ def random_mig():
 @pytest.fixture
 def adder_mig():
     return build_adder_mig()
+
+
+@pytest.fixture
+def step_loop(request, monkeypatch):
+    """Log every call of the step loop named by the case parameter.
+
+    Parametrized through ``helpers.ON_STEP_LOOP``.  Returns the (growing)
+    list of calls, so a case can assert that it really ran the loop — or,
+    for a plan-time refusal, that it did not.
+    """
+    name = f"_advance_{request.param}"
+    loop = getattr(kernels, name)
+    calls = []
+
+    def logged(*args, **kwargs):
+        calls.append(name)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, logged)
+    return calls
 
 
 @pytest.fixture(autouse=True)

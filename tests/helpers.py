@@ -1,8 +1,15 @@
-"""Shared circuit builders used by the test modules."""
+"""Shared circuit builders and marks used by the test modules."""
 
 import random
 
+import pytest
+
 from repro.core.mig import Mig
+
+#: Runs a kernel-matrix case on the packed engine's step loop,
+#: ``kernels._advance_fused``: the loop's short name ends up in the case
+#: id, and the case receives the ``step_loop`` fixture's call log.
+ON_STEP_LOOP = pytest.mark.parametrize("step_loop", ["fused"], indirect=True)
 
 
 def build_random_mig(

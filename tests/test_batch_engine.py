@@ -33,7 +33,7 @@ from repro.core.wavepipe import (
 from repro.errors import SimulationError
 from repro.suite.table import get_benchmark
 
-from helpers import build_adder_mig, build_random_mig
+from helpers import ON_STEP_LOOP, build_adder_mig, build_random_mig
 from strategies import netlists, stream_lengths
 
 _vectors = random_vectors  # the drivers' shared stimulus convention
@@ -352,12 +352,10 @@ def _bool_streams(netlist, lengths, seed):
 class TestStructuredUnbalanced:
     """FO3-only ctrl/i2c: heavy interference on structured circuits.
 
-    Every stream of a batch, run on either kernel backend, must equal
-    its own solo packed run field by field (interference contents and
-    order included).  The solo references run on the fused backend: the
-    uncompiled loop nest is slow, and the fused solo path is pinned to
-    the oracle by the rest of this module.  Short samples are compared
-    with the scalar oracle directly.
+    Every stream of a batch must equal its own solo packed run field by
+    field (interference contents and order included); the solo path is
+    pinned to the oracle by the rest of this module.  Short samples are
+    compared with the scalar oracle directly.
     """
 
     #: ragged batches with empty streams interleaved (i2c is ~10x larger)
@@ -366,43 +364,46 @@ class TestStructuredUnbalanced:
         "i2c": (3, 0, 8, 0, 1, 5),
     }
 
-    def _assert_streams_match_solo(self, netlist, streams, backend):
-        reports = simulate_streams_packed(netlist, streams, backend=backend)
+    def _assert_streams_match_solo(self, netlist, streams):
+        reports = simulate_streams_packed(netlist, streams)
         assert len(reports) == len(streams)
         for report, stream in zip(reports, streams):
-            solo = simulate_waves_packed(netlist, stream, backend="fused")
+            solo = simulate_waves_packed(netlist, stream)
             assert report == solo
         assert any(report.interference for report in reports)
 
-    @pytest.mark.parametrize("backend", ["fused", "jit"])
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("name", ["ctrl", "i2c"])
-    def test_ragged_batches_match_solo_runs(self, name, backend):
+    def test_ragged_batches_match_solo_runs(self, name, step_loop):
         netlist = _fo3_only(name)
         streams = _bool_streams(netlist, self.RAGGED[name], seed=3)
-        self._assert_streams_match_solo(netlist, streams, backend)
+        self._assert_streams_match_solo(netlist, streams)
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", ["fused", "jit"])
-    def test_bench_shape_12x32_matches_solo_runs(self, backend):
+    @ON_STEP_LOOP
+    def test_bench_shape_12x32_matches_solo_runs(self, step_loop):
         # the many-stream call of the benchmark's unbalanced workload
         netlist = _fo3_only("ctrl")
         streams = _bool_streams(netlist, [32] * 12, seed=1)
-        self._assert_streams_match_solo(netlist, streams, backend)
+        self._assert_streams_match_solo(netlist, streams)
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", ["fused", "jit"])
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("name", ["ctrl", "i2c"])
-    def test_short_sample_matches_scalar_oracle(self, name, backend):
+    def test_short_sample_matches_scalar_oracle(self, name, step_loop):
         netlist = _fo3_only(name)
         streams = _bool_streams(netlist, (4, 0, 6), seed=5)
         oracle = simulate_streams(
             netlist, [stream.tolist() for stream in streams],
             engine="python",
         )
-        packed = simulate_streams_packed(netlist, streams, backend=backend)
+        packed = simulate_streams_packed(netlist, streams)
         assert packed == oracle
         assert not oracle[0].coherent
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", ["fused", "jit"])
-    def test_strict_raises_first_interfering_stream(self, backend):
+    @ON_STEP_LOOP
+    def test_strict_raises_first_interfering_stream(self, step_loop):
         # stream 0 is clean (one wave cannot interfere), streams 1 and 2
         # both interfere.  Interference is structural — a stream's first
         # event does not depend on its values or length — so the two
@@ -418,13 +419,9 @@ class TestStructuredUnbalanced:
                 strict=True, engine="python",
             )
         with pytest.raises(SimulationError) as packed:
-            simulate_streams_packed(
-                netlist, streams, strict=True, backend=backend
-            )
+            simulate_streams_packed(netlist, streams, strict=True)
         assert str(packed.value) == str(reference.value)
-        clean, first, second = simulate_streams_packed(
-            netlist, streams, backend=backend
-        )
+        clean, first, second = simulate_streams_packed(netlist, streams)
         assert clean.coherent and first.interference
         assert second.interference
         event = first.interference[0]
@@ -432,3 +429,4 @@ class TestStructuredUnbalanced:
             f"wave interference at step {event.step}, component "
             f"{event.component}: waves {event.wave_ids}"
         )
+        assert step_loop

@@ -124,7 +124,7 @@ class TestServeBench:
             ["serve-bench", "circuit:adder:3", "--requests", "6",
              "--waves", "4", "--max-batch-requests", "3",
              "--max-batch-waves", "64", "--max-linger-steps", "0",
-             "--trials", "1", "--no-jit"]
+             "--trials", "1"]
         ) == 0
         assert "identity  : ok" in capsys.readouterr().out
 

@@ -1,24 +1,20 @@
-"""Kernel-layer tests: backends, tracking elision, planner calibration.
+"""Kernel-layer tests: tracking elision, planner calibration, events.
 
 ``tests/test_batch_engine.py`` pins the packed engine's default path to
-the scalar oracle; this module covers the kernel matrix introduced by the
-kernelized step loop (`repro.core.wavepipe.kernels`):
+the scalar oracle; this module covers the step loop's variants
+(`repro.core.wavepipe.kernels`):
 
-* every backend (fused numpy / JIT loop nest) x tracking variant
-  (tracked / elided) produces reports bit-identical to the scalar
-  oracle, under planner defaults and explicit ``lanes=`` overrides;
+* both tracking variants (tracked / elided) produce reports
+  bit-identical to the scalar oracle, under planner defaults and
+  explicit ``lanes=`` overrides;
 * the elided fast path is *never* taken on a netlist where the scalar
   oracle reports interference (the static safety proof), and demanding
   it there raises;
-* strict-mode error messages are unchanged across every backend;
+* strict-mode error messages match the oracle's;
 * the lane planner's cost model is monotone, respects the 16-word cap,
-  and shifts with the per-backend calibration constants;
+  and shifts with the per-variant calibration constants;
 * columnar event materialization equals the per-row formula it
-  replaced, on generated raw chunks in both kernels' layouts.
-
-Without numba the ``jit`` backend runs as the uncompiled loop nest — the
-exact code numba would compile — so these tests exercise the JIT code
-path in both CI configurations.
+  replaced, on generated raw chunks.
 """
 
 from functools import lru_cache
@@ -30,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.wavepipe import (
-    BACKENDS,
     ClockingScheme,
     WaveNetlist,
     can_elide_tracking,
@@ -52,15 +47,12 @@ from repro.core.wavepipe.batch import (
 from repro.core.wavepipe.kernels import (
     PLANNER_STEP_OVERHEAD,
     _materialize_events,
-    default_backend,
     planner_step_overhead,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.core.wavepipe.simulator import WaveInterference
 from repro.errors import SimulationError
 
-from helpers import build_adder_mig, build_random_mig
+from helpers import ON_STEP_LOOP, build_adder_mig, build_random_mig
 from strategies import raw_netlists
 
 _vectors = random_vectors
@@ -95,47 +87,46 @@ def _buf_only_phase_netlist() -> WaveNetlist:
 
 
 class TestBackendMatrix:
-    """Every (backend, tracking) kernel variant equals the oracle."""
+    """Every tracking variant of the step loop equals the oracle."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("n_waves", [1, 40, 70])
     def test_balanced_identity(
-        self, balanced_netlist, backend, track, n_waves
+        self, balanced_netlist, track, n_waves, step_loop
     ):
         vectors = _vectors(balanced_netlist.n_inputs, n_waves, seed=n_waves)
         scalar = simulate_waves(balanced_netlist, vectors, engine="python")
         packed = simulate_waves_packed(
-            balanced_netlist, vectors, backend=backend, track=track
+            balanced_netlist, vectors, track=track
         )
         assert packed == scalar  # dataclass ==: every report field
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("n_waves", [1, 40, 70])
     def test_unbalanced_identity(
-        self, unbalanced_netlist, backend, n_waves
+        self, unbalanced_netlist, n_waves, step_loop
     ):
-        # interference events force the tracked kernels on both backends
+        # interference events force the tracked variant
         vectors = _vectors(
             unbalanced_netlist.n_inputs, n_waves, seed=n_waves
         )
         scalar = simulate_waves(unbalanced_netlist, vectors, engine="python")
-        packed = simulate_waves_packed(
-            unbalanced_netlist, vectors, backend=backend
-        )
+        packed = simulate_waves_packed(unbalanced_netlist, vectors)
         assert packed == scalar
+        assert step_loop
         if n_waves > 1:
             assert not packed.coherent  # the case actually interferes
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("lanes", [1, 7, 63, 64, 65, 100])
     def test_lanes_override_identity(
-        self, balanced_netlist, unbalanced_netlist, backend, track, lanes
+        self, balanced_netlist, unbalanced_netlist, track, lanes, step_loop
     ):
-        # satellite: lanes= report-identity under every backend, across
-        # word boundaries, tracked and elided (elided skipped where the
-        # proof cannot hold)
+        # lanes= report-identity across word boundaries, tracked and
+        # elided (elided skipped where the proof cannot hold)
         for netlist in (balanced_netlist, unbalanced_netlist):
             vectors = _vectors(netlist.n_inputs, 70, seed=lanes)
             scalar = simulate_waves(netlist, vectors, engine="python")
@@ -144,43 +135,41 @@ class TestBackendMatrix:
             else:
                 track_arg = track
             packed = simulate_waves_packed(
-                netlist, vectors, backend=backend, track=track_arg,
-                lanes=lanes,
+                netlist, vectors, track=track_arg, lanes=lanes,
             )
             assert packed == scalar
+        assert len(step_loop) == 2  # one run per netlist
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("track", [None, True])
     @pytest.mark.parametrize("n_waves", [1, 16, 70])
-    def test_buf_only_phase_identity(self, backend, track, n_waves):
+    def test_buf_only_phase_identity(self, track, n_waves, step_loop):
         # regression: a clock phase holding only BUF/FOG components must
-        # still gather real wave ids in the tracked kernels (the fused
-        # variant once scattered uninitialized memory here, emitting
+        # still gather real wave ids in the tracked variant (the loop
+        # once scattered uninitialized memory here, emitting
         # phantom interference events with garbage wave ids)
         netlist = _buf_only_phase_netlist()
         vectors = _vectors(netlist.n_inputs, n_waves, seed=n_waves)
         scalar = simulate_waves(netlist, vectors, engine="python")
-        packed = simulate_waves_packed(
-            netlist, vectors, backend=backend, track=track
-        )
+        packed = simulate_waves_packed(netlist, vectors, track=track)
         assert packed == scalar
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_streams_identity(self, balanced_netlist, backend):
+    @ON_STEP_LOOP
+    def test_streams_identity(self, balanced_netlist, step_loop):
         streams = [
             _vectors(balanced_netlist.n_inputs, length, seed=length)
             for length in (5, 0, 31, 12)
         ]
         oracle = simulate_streams(balanced_netlist, streams, engine="python")
-        packed = simulate_streams_packed(
-            balanced_netlist, streams, backend=backend
-        )
+        packed = simulate_streams_packed(balanced_netlist, streams)
         assert packed == oracle
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("pipelined", [True, False])
     def test_phase_counts_and_injection_modes(
-        self, unbalanced_netlist, backend, pipelined
+        self, unbalanced_netlist, pipelined, step_loop
     ):
         for n_phases in (2, 4):
             clocking = ClockingScheme(n_phases)
@@ -191,17 +180,18 @@ class TestBackendMatrix:
             )
             packed = simulate_waves_packed(
                 unbalanced_netlist, vectors, clocking=clocking,
-                pipelined=pipelined, backend=backend,
+                pipelined=pipelined,
             )
             assert packed == scalar
+        assert len(step_loop) == 2  # one run per phase count
 
 
 class TestKernelMatrixOnRandomNetlists:
-    """ISSUE-4 satellite: the full kernel matrix on *random* netlists.
+    """Both tracking variants on *random* netlists.
 
-    The PR-3 matrix tests sweep hand-picked suite circuits; this class
-    sweeps every (backend x tracking) variant x {balanced, unbalanced}
-    x {1, 3} state words against the scalar oracle on randomly
+    The matrix tests above sweep hand-picked suite circuits; this class
+    sweeps every tracking variant x {balanced, unbalanced} x {1, 3}
+    state words against the scalar oracle on randomly
     generated netlists, so word-boundary behaviour is pinned on
     structures nobody curated.
     """
@@ -231,25 +221,25 @@ class TestKernelMatrixOnRandomNetlists:
         scalar = simulate_waves(netlist, vectors, engine="python")
         return netlist, vectors, scalar
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     @pytest.mark.parametrize("balanced", [True, False])
     @pytest.mark.parametrize("words", [1, 3])
     @pytest.mark.parametrize("seed", [5, 23])
-    def test_variant_parity(self, backend, balanced, words, seed):
+    def test_variant_parity(self, balanced, words, seed, step_loop):
         netlist, vectors, scalar = self._case(balanced, seed)
         lanes = self.WORDS_TO_LANES[words]
         assert describe_packed_run(
-            netlist, self.N_WAVES, lanes=lanes, backend=backend
+            netlist, self.N_WAVES, lanes=lanes
         )["words"] == words
         # balanced netlists run the elided (auto) AND tracked variants;
         # unbalanced ones only track (elision is statically unsound
         # there, which TestElisionSafety pins separately)
         for track in ([None, True] if balanced else [None]):
             packed = simulate_waves_packed(
-                netlist, vectors, backend=backend, track=track,
-                lanes=lanes,
+                netlist, vectors, track=track, lanes=lanes,
             )
             assert packed == scalar
+        assert len(step_loop) == (2 if balanced else 1)
         if not balanced and seed == 23:
             assert not scalar.coherent  # the sweep includes real events
 
@@ -277,15 +267,16 @@ class TestElisionSafety:
         compiled = compile_netlist(balanced_netlist)
         assert not can_elide_tracking(compiled, compiled.n_phases - 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     def test_demanding_elision_on_unsafe_netlist_raises(
-        self, unbalanced_netlist, backend
+        self, unbalanced_netlist, step_loop
     ):
         vectors = _vectors(unbalanced_netlist.n_inputs, 8, seed=1)
         with pytest.raises(SimulationError, match="cannot be elided"):
             simulate_waves_packed(
-                unbalanced_netlist, vectors, backend=backend, track=False
+                unbalanced_netlist, vectors, track=False
             )
+        assert not step_loop  # refused before the first step
 
     @given(
         raw_netlists(),
@@ -313,10 +304,9 @@ class TestElisionSafety:
         )
         assert packed.interference == scalar.interference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strict_messages_unchanged(self, unbalanced_netlist, backend):
-        # satellite: strict-mode errors match the scalar oracle verbatim
-        # on every backend (and on forced-tracked fused)
+    @ON_STEP_LOOP
+    def test_strict_messages_unchanged(self, unbalanced_netlist, step_loop):
+        # strict-mode errors match the scalar oracle verbatim
         vectors = _vectors(unbalanced_netlist.n_inputs, 10, seed=1)
         with pytest.raises(SimulationError) as reference:
             simulate_waves(
@@ -324,13 +314,14 @@ class TestElisionSafety:
             )
         with pytest.raises(SimulationError) as packed:
             simulate_waves_packed(
-                unbalanced_netlist, vectors, strict=True, backend=backend
+                unbalanced_netlist, vectors, strict=True
             )
         assert str(packed.value) == str(reference.value)
+        assert step_loop
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @ON_STEP_LOOP
     def test_strict_elided_is_silent_on_balanced(
-        self, balanced_netlist, backend
+        self, balanced_netlist, step_loop
     ):
         # strict mode on the elided path: no events can exist, so the
         # run completes exactly like the oracle's
@@ -339,13 +330,14 @@ class TestElisionSafety:
             balanced_netlist, vectors, strict=True, engine="python"
         )
         packed = simulate_waves_packed(
-            balanced_netlist, vectors, strict=True, backend=backend
+            balanced_netlist, vectors, strict=True
         )
         assert packed == scalar
+        assert step_loop
 
 
 class TestPlanner:
-    """Cost-model shape: monotone, word-capped, backend-calibrated."""
+    """Cost-model shape: monotone, word-capped, variant-calibrated."""
 
     @staticmethod
     def _lanes(n_waves, step_overhead, n_components=664, depth=15,
@@ -372,18 +364,14 @@ class TestPlanner:
             assert lanes % LANES_PER_WORD == 0  # whole words only
 
     def test_cheaper_lanes_plan_wider(self):
-        # elided/JIT kernels move less data per lane, so their larger
-        # calibration constants must never shrink the plan
-        tracked = self._lanes(4096, planner_step_overhead("fused", False))
-        elided = self._lanes(4096, planner_step_overhead("fused", True))
+        # the elided variant moves less data per lane, so its larger
+        # calibration constant must never shrink the plan
+        tracked = self._lanes(4096, planner_step_overhead(False))
+        elided = self._lanes(4096, planner_step_overhead(True))
         assert elided >= tracked
 
     def test_constants_cover_backend_matrix(self):
-        assert set(PLANNER_STEP_OVERHEAD) == {
-            (backend, elided)
-            for backend in BACKENDS
-            for elided in (False, True)
-        }
+        assert set(PLANNER_STEP_OVERHEAD) == {False, True}
         assert all(value > 0 for value in PLANNER_STEP_OVERHEAD.values())
 
     def test_describe_packed_run_reflects_overrides(self, balanced_netlist):
@@ -403,41 +391,6 @@ class TestPlanner:
             balanced_netlist, vectors, lanes=info["lanes"]
         )
         assert default == pinned
-
-
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self, balanced_netlist):
-        vectors = _vectors(balanced_netlist.n_inputs, 4, seed=0)
-        with pytest.raises(SimulationError, match="unknown kernel backend"):
-            simulate_waves_packed(
-                balanced_netlist, vectors, backend="verilator"
-            )
-
-    def test_set_default_backend_round_trip(self):
-        original = default_backend()
-        try:
-            set_default_backend("fused")
-            assert default_backend() == "fused"
-            assert resolve_backend(None) == "fused"
-        finally:
-            set_default_backend(None)
-        assert default_backend() == original
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(SimulationError):
-            set_default_backend("cuda")
-
-    def test_env_override(self, monkeypatch):
-        from repro.core.wavepipe.kernels import jit_available
-
-        monkeypatch.setenv("REPRO_JIT", "0")
-        assert default_backend() == "fused"
-        # REPRO_JIT=1 is a preference, not a force: without numba the
-        # uncompiled loop nest would be far slower than fused, so the
-        # default falls back rather than silently degrading
-        monkeypatch.setenv("REPRO_JIT", "1")
-        expected = "jit" if jit_available() else "fused"
-        assert default_backend() == expected
 
 
 # ----------------------------------------------------------------------
@@ -472,10 +425,9 @@ def _per_row_events(compiled, plan, chunks):
 
 @st.composite
 def _raw_event_chunks(draw):
-    """A compiled/plan stand-in and raw chunks in both kernels' layouts.
+    """A compiled/plan stand-in and raw chunks in the step loop's layout.
 
-    Fused chunks carry one scalar step and int32 wave ids; loop-nest
-    chunks carry a step per event and int64 columns.  Wave ids span
+    Each chunk carries one scalar step and int32 wave ids.  Wave ids span
     ``-2`` (constant) and ``-1`` (warming) and a narrow non-negative
     range, so repeated ids (2-id tuples) are common.  Several streams
     own contiguous lanes with non-zero ``offset``/``wave0``.
@@ -510,27 +462,16 @@ def _raw_event_chunks(draw):
     step = st.integers(0, 30)
     wave_id = st.integers(-2, 4)
     chunks = []
-    for fused in draw(st.lists(st.booleans(), max_size=5)):
-        if fused:
-            rows = draw(
-                st.lists(st.tuples(flat, lane, wave_id, wave_id, wave_id),
-                         min_size=1, max_size=6)
-            )
-            f, ln, a, b, c = (np.array(col) for col in zip(*rows))
-            chunks.append(
-                (f.astype(np.int64), draw(step), ln.astype(np.int64),
-                 a.astype(np.int32), b.astype(np.int32), c.astype(np.int32))
-            )
-        else:
-            rows = draw(
-                st.lists(
-                    st.tuples(flat, step, lane, wave_id, wave_id, wave_id),
-                    min_size=1, max_size=8,
-                )
-            )
-            chunks.append(
-                tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
-            )
+    for _ in range(draw(st.integers(0, 5))):
+        rows = draw(
+            st.lists(st.tuples(flat, lane, wave_id, wave_id, wave_id),
+                     min_size=1, max_size=6)
+        )
+        f, ln, a, b, c = (np.array(col) for col in zip(*rows))
+        chunks.append(
+            (f.astype(np.int64), draw(step), ln.astype(np.int64),
+             a.astype(np.int32), b.astype(np.int32), c.astype(np.int32))
+        )
     return compiled, plan, chunks
 
 

@@ -76,6 +76,10 @@ class TestStress:
         server = SimulationServer(
             shards=2, max_pending=2 * total, max_linger_steps=1
         )
+        # build the netlists before the submitters start: lru_cache does
+        # not serialize concurrent first calls, so racing threads could
+        # each build (and submit) netlist objects of their own
+        _netlists()
 
         def submitter(thread_id: int) -> None:
             try:

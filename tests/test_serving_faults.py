@@ -370,6 +370,19 @@ class TestHangDetection:
         assert health["hung_reaped"] == 1
         assert health["worker_restarts"] == 1
 
+    def test_worker_boot_is_not_dispatch_time(self):
+        # a fresh worker takes longer than 0.3s to import the engine;
+        # the dispatch timeout starts at its ready signal, so the first
+        # batch is served without a spurious hang reap
+        netlist = _netlists()[0]
+        request = (0, 4, 2)
+        with ProcessShardPool(
+            1, dispatch_timeout_s=0.3, supervision=FAST
+        ) as pool:
+            reports = pool.simulate(netlist, [_vectors(*request)])
+        assert reports[0] == _solo(*request)
+        assert pool.health()["hung_reaped"] == 0
+
     def test_dispatch_timeout_validates(self):
         with pytest.raises(ServeError):
             ProcessShardPool(1, dispatch_timeout_s=0.0)
