@@ -28,6 +28,7 @@ from .flow import PAPER_FANOUT_LIMIT, WavePipelineResult, wave_pipeline
 from .simulator import (
     ENGINES,
     WaveInterference,
+    WaveOutputs,
     WaveSimulationReport,
     golden_outputs,
     random_vectors,
@@ -61,6 +62,7 @@ __all__ = [
     "SessionState",
     "WaveInterference",
     "WaveNetlist",
+    "WaveOutputs",
     "WavePipelineResult",
     "WaveSimulationReport",
     "assert_balanced",

@@ -52,6 +52,14 @@ output words snapshotted by the kernel are bit-extracted in one
 vectorized pass (the kept (lane, slot) pairs enumerate the global wave
 sequence in order).
 
+**Array-native outputs.**  That pass reads the retired words as
+little-endian bytes (lane *b* is bit ``b % 8`` of byte ``b // 8``) and
+yields one ``(waves, n_outputs)`` bool matrix for the whole batch.  It
+is wrapped once as a read-only
+:class:`~repro.core.wavepipe.simulator.WaveOutputs`, and each stream's
+report takes a row slice of it: no copy and no per-wave Python lists,
+which used to cost more than the step loop on wide-output netlists.
+
 **Independent streams share the lane axis.**  :func:`simulate_streams_packed`
 simulates many *independent* wave streams (the serving scenario: one
 request = one stream) in a single pass: every stream receives its own group
@@ -82,7 +90,9 @@ even in principle.  On balanced netlists the same argument that elides
 tracking makes every wave's output a function of its own inputs alone,
 which is what lets ``tests/test_streaming.py`` assert that any split of
 a wave schedule into feeds matches the solo run of the concatenation,
-bit for bit, on the tracked and elided variants alike.
+bit for bit, on the tracked and elided variants alike.  Retired rows are
+extracted per advance into bool blocks the same way, and each feed's
+report wraps its rows as one ``WaveOutputs``.
 
 The scalar engine remains the oracle; ``tests/test_batch_engine.py`` and
 ``tests/test_kernels.py`` property-test this module against it on
@@ -114,6 +124,7 @@ from .kernels import (
 )
 from .simulator import (
     WaveInterference,
+    WaveOutputs,
     WaveSimulationReport,
     _empty_report,
     _validate_vectors,
@@ -400,14 +411,30 @@ def _vector_bits(
     return bits
 
 
-def _unpack_outputs(
-    ret_words: np.ndarray, plan: _LanePlan
-) -> list[list[bool]]:
+def _extract_bits(
+    ret_words: np.ndarray, slot_of: np.ndarray, lane_of: np.ndarray
+) -> np.ndarray:
+    """Bit ``lane_of[k]`` of every output word of retire slot ``slot_of[k]``.
+
+    Returns a fresh ``(len(slot_of), n_outputs)`` bool matrix.  The words
+    are read as little-endian bytes, so lane *b* is bit ``b % 8`` of byte
+    ``b // 8`` of the slot's ``(n_outputs, n_words)`` row: one byte gather
+    and shift, instead of shifting whole uint64 words and casting.
+    """
+    as_bytes = ret_words.astype("<u8", copy=False).view(np.uint8)
+    shift = (lane_of % 8).astype(np.uint8)
+    picked = as_bytes[slot_of, :, lane_of // 8] >> shift[:, None]
+    picked &= 1
+    return picked.view(bool)
+
+
+def _unpack_outputs(ret_words: np.ndarray, plan: _LanePlan) -> np.ndarray:
     """Bit-extract every kept (lane, slot) retirement in one pass.
 
     Lanes are ordered by stream and chunk start, so the kept pairs
     enumerate the global wave sequence exactly in order — row *k* of the
-    extracted bit matrix IS wave *k*'s output vector.
+    returned ``(waves, n_outputs)`` bool matrix IS wave *k*'s output
+    vector.
     """
     # every owned slot must have been snapshotted by the kernel; a plan
     # whose local timeline is too short to retire its deepest slot is a
@@ -423,10 +450,7 @@ def _unpack_outputs(
         - np.repeat(pair_start, plan.chunk)
         + np.repeat(plan.warm, plan.chunk)
     )
-    word_of = lane_of // LANES_PER_WORD
-    bit_of = (lane_of % LANES_PER_WORD).astype(_WORD)
-    bits = (ret_words[slot_of, :, word_of] >> bit_of[:, None]) & _WORD(1)
-    return bits.astype(bool).tolist()
+    return _extract_bits(ret_words, slot_of, lane_of)
 
 
 def _interference_error(event: WaveInterference) -> SimulationError:
@@ -586,7 +610,7 @@ def _packed_reports(
 
     if strict and events:
         raise _interference_error(events[0])
-    results = _unpack_outputs(ret_words, plan)
+    results = WaveOutputs(_unpack_outputs(ret_words, plan))
     event_bounds = np.searchsorted(
         event_stream, np.arange(len(live) + 1)
     ).tolist()
@@ -676,7 +700,6 @@ class _SlotRecord:
     """One injected-but-not-yet-retired session slot."""
 
     slot: int  # absolute injection slot (retires at slot*sep + depth)
-    first_wave: int  # global index of the slot's first wave
     count: int  # waves injected this slot (they occupy lanes [0, count))
 
 
@@ -819,10 +842,10 @@ class PackedSession:
         self._pending: list[np.ndarray] = []
         self._pending_waves = 0
         self._feeds: list[SessionFeed] = []
-        self._outputs: list[Optional[list[bool]]] = []
+        # retired output rows no feed has claimed yet, in wave order
+        self._outputs: list[np.ndarray] = []
         self._slots: "deque[_SlotRecord]" = deque()
         self._n_fed = 0
-        self._n_injected = 0
         self._n_retired = 0
         self._resolved_upto = 0  # feeds [0, here) have reports
         self._next_done = 0  # take_done() cursor into resolved feeds
@@ -860,7 +883,6 @@ class PackedSession:
             )
             self._pending.append(bits)
             self._pending_waves += count
-            self._outputs.extend([None] * count)
         self._resolve_ready()
         return handle
 
@@ -977,13 +999,8 @@ class PackedSession:
         n_slots = words.shape[0]
         for j in range(n_slots):
             self._slots.append(
-                _SlotRecord(
-                    slot0 + j,
-                    self._n_injected + j * n_lanes,
-                    min(n_lanes, n_waves - j * n_lanes),
-                )
+                _SlotRecord(slot0 + j, min(n_lanes, n_waves - j * n_lanes))
             )
-        self._n_injected += n_waves
         target = (slot0 + n_slots - 1) * sep + 1  # one past last injection
         self._advance(words, masks, active, slot0, target)
 
@@ -1023,6 +1040,8 @@ class PackedSession:
         self._harvest(ret_words, ret_slot0)
 
     def _harvest(self, ret_words: np.ndarray, ret_slot0: int) -> None:
+        rows: list[int] = []  # ret_words row of each retired slot
+        counts: list[int] = []  # its waves, on lanes [0, count)
         for i in range(ret_words.shape[0]):
             retire_slot = ret_slot0 + i
             if self._slots and self._slots[0].slot < retire_slot:
@@ -1032,19 +1051,26 @@ class PackedSession:
                 )
             if not self._slots or self._slots[0].slot != retire_slot:
                 continue  # retire step with no in-flight slot (idle gap)
-            rec = self._slots.popleft()
-            lanes = np.arange(rec.count, dtype=np.int64)
-            word_of = lanes // LANES_PER_WORD
-            bit_of = (lanes % LANES_PER_WORD).astype(_WORD)
-            row = ret_words[i]  # (n_outputs, n_words)
-            vals = (
-                (row.T[word_of] >> bit_of[:, None]) & _WORD(1)
-            ).astype(bool)
-            out_lists = vals.tolist()
-            for k in range(rec.count):
-                self._outputs[rec.first_wave + k] = out_lists[k]
-            self._n_retired += rec.count
+            rows.append(i)
+            counts.append(self._slots.popleft().count)
+        if rows:
+            slot_of = np.repeat(rows, counts)
+            lane_of = np.arange(slot_of.size) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            self._outputs.append(_extract_bits(ret_words, slot_of, lane_of))
+            self._n_retired += slot_of.size
         self._resolve_ready()
+
+    def _claim(self, count: int) -> np.ndarray:
+        """The next *count* retired rows, in wave order."""
+        rows = (
+            self._outputs[0]
+            if len(self._outputs) == 1
+            else np.concatenate(self._outputs)
+        )
+        self._outputs = [rows[count:]] if count < rows.shape[0] else []
+        return rows[:count]
 
     def _resolve_ready(self) -> None:
         depth = self._compiled.depth
@@ -1054,9 +1080,8 @@ class PackedSession:
             if feed.count == 0:
                 feed._report = _empty_report(depth)
             elif feed.start + feed.count <= self._n_retired:
-                outputs = self._outputs[feed.start:feed.start + feed.count]
                 feed._report = WaveSimulationReport(
-                    outputs=outputs,  # type: ignore[arg-type]
+                    outputs=WaveOutputs(self._claim(feed.count)),
                     latency_steps=depth,
                     steps_run=(
                         (feed.start + feed.count - 1) * sep + depth + 1

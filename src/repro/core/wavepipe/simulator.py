@@ -52,6 +52,17 @@ serving scenario: one request = one stream) through the same netlist in a
 single packed pass; each returned report is bit-identical to running
 :func:`simulate_waves` on that stream alone.
 
+Outputs
+-------
+Every engine returns a report's outputs as a :class:`WaveOutputs`: an
+immutable ``(waves, n_outputs)`` bit matrix over a read-only bool
+ndarray.  The packed engine extracts one matrix per batch and hands
+each stream a row slice of it, so a report costs no per-wave Python
+lists; the scalar oracle converts its rows into the same type, so a
+differential comparison is a plain ``==``.  The matrix still compares
+equal to the nested lists of :func:`golden_outputs`, its repr is exact,
+and it pickles bit-packed for the process-shard and socket hops.
+
 The scalar loop stays the semantic definition; the packed engine is
 property-tested against it (see ``tests/test_batch_engine.py``).
 """
@@ -60,13 +71,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union, overload
 
 import numpy as np
 
 from ...errors import SimulationError
 from .clocking import ClockingScheme
 from .components import Kind, WaveNetlist
+
+if TYPE_CHECKING:
+    from numpy.typing import DTypeLike
 
 #: Engine names accepted by :func:`simulate_waves`.
 ENGINES = ("python", "packed")
@@ -95,11 +109,118 @@ class WaveInterference:
     wave_ids: tuple[int, ...]
 
 
+class WaveOutputs:
+    """Immutable ``(waves, n_outputs)`` bit matrix: one report's outputs.
+
+    Backed by a read-only bool ndarray (:attr:`array`), so the packed
+    engine hands every stream a row slice of its batch matrix without
+    copying or building per-wave Python lists.  It still reads like the
+    ``list[list[bool]]`` it replaces: ``len``, iteration and integer
+    indexing yield rows as ``list[bool]``, a slice is another
+    :class:`WaveOutputs`, and equality against a list compares
+    :meth:`tolist` with it.  Two :class:`WaveOutputs` are equal when
+    their shapes and bits are; every zero-wave value equals every other,
+    whatever its width.
+
+    The repr is exact (shape plus the hex of the packed bits, never a
+    numpy summary), so equal reprs mean equal bits; pickling ships the
+    bits packed eight to a byte.
+    """
+
+    __slots__ = ("_bits",)
+    # equal to lists, which are unhashable, so unhashable itself
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, bits: object) -> None:
+        array = np.asarray(bits, dtype=bool)
+        if array.ndim == 1 and array.size == 0:
+            array = array.reshape(0, 0)  # ``[]``: no waves, width unknown
+        if array.ndim != 2:
+            raise SimulationError(
+                f"wave outputs must be a (waves, outputs) matrix, got "
+                f"shape {array.shape}"
+            )
+        if array.flags.writeable:
+            array = array.view()  # read-only view; the owner keeps its own
+            array.flags.writeable = False
+        self._bits = array
+
+    @property
+    def array(self) -> np.ndarray:
+        """The bits as a read-only ``(waves, n_outputs)`` bool ndarray."""
+        return self._bits
+
+    def __array__(
+        self, dtype: DTypeLike = None, copy: Optional[bool] = None
+    ) -> np.ndarray:
+        return np.array(self._bits, dtype=dtype, copy=copy)
+
+    def tolist(self) -> list[list[bool]]:
+        return self._bits.tolist()
+
+    def __len__(self) -> int:
+        return int(self._bits.shape[0])
+
+    def __iter__(self) -> Iterator[list[bool]]:
+        return iter(self.tolist())
+
+    @overload
+    def __getitem__(self, index: int) -> list[bool]: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "WaveOutputs": ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[list[bool], "WaveOutputs"]:
+        if isinstance(index, slice):
+            return WaveOutputs(self._bits[index])
+        return self._bits[index].tolist()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, WaveOutputs):
+            if not len(self) and not len(other):
+                return True
+            return self._bits.shape == other._bits.shape and bool(
+                np.array_equal(self._bits, other._bits)
+            )
+        return self.tolist() == other
+
+    def __repr__(self) -> str:
+        waves, width = self._bits.shape
+        if not waves:
+            width = 0  # zero-wave values are all equal, so they print alike
+        packed = np.packbits(self._bits).tobytes().hex()
+        return f"WaveOutputs({waves}x{width}:{packed})"
+
+    def __reduce__(self) -> tuple[object, tuple[int, int, bytes]]:
+        waves, width = self._bits.shape
+        return (
+            _unpack_wave_outputs,
+            (waves, width, np.packbits(self._bits).tobytes()),
+        )
+
+
+def _unpack_wave_outputs(
+    waves: int, width: int, packed: bytes
+) -> WaveOutputs:
+    """Unpickle a :class:`WaveOutputs` from its packed bits."""
+    bits = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8), count=waves * width
+    )
+    return WaveOutputs(bits.reshape(waves, width).view(bool))
+
+
 @dataclass
 class WaveSimulationReport:
-    """Outcome of :func:`simulate_waves`."""
+    """Outcome of :func:`simulate_waves` (and of every packed front-end).
 
-    outputs: list[list[bool]]
+    ``outputs`` holds wave *w*'s output vector in row *w* of a
+    :class:`WaveOutputs` bit matrix; on a coherent run it compares equal
+    to the nested lists :func:`golden_outputs` returns.
+    """
+
+    outputs: WaveOutputs
     latency_steps: int
     steps_run: int
     waves_injected: int
@@ -179,7 +300,7 @@ def _validate_vectors(
 def _empty_report(depth: int) -> WaveSimulationReport:
     """Clean report for an empty wave list: zero steps, nothing retired."""
     return WaveSimulationReport(
-        outputs=[],
+        outputs=WaveOutputs([]),
         latency_steps=depth,
         steps_run=0,
         waves_injected=0,
@@ -395,7 +516,7 @@ def _simulate_waves_python(
         raise SimulationError("simulation ended before every wave retired")
 
     return WaveSimulationReport(
-        outputs=results,
+        outputs=WaveOutputs(results),
         latency_steps=depth,
         steps_run=total_steps,
         waves_injected=injected,

@@ -1231,6 +1231,17 @@ class ServerSession:
             self._broken = error
             item.resolved = True
             item.future.set_exception(error)
+            # earlier feeds still in flight can never resolve on a
+            # poisoned stream: fail them now, as later feeds will be,
+            # instead of leaving them running until close()
+            for earlier in self._sent:
+                if not earlier.resolved:
+                    earlier.resolved = True
+                    stranded = SessionClosed(
+                        f"session {self.session_id} is broken: {error}"
+                    )
+                    stranded.__cause__ = error
+                    earlier.future.set_exception(stranded)
             return
         self._apply(pairs)
 

@@ -18,6 +18,7 @@ balance), and the batcher's adaptive wave cap is derived from the lane
 planner's word budget.
 """
 
+import threading
 from functools import lru_cache
 
 import pytest
@@ -344,6 +345,64 @@ class TestServerStreamDifferential:
         with SimulationServer(shards=1) as server:
             with pytest.raises(SimulationError, match="wave-ready"):
                 server.open_stream(_unbalanced())
+
+
+class TestPoisonedSession:
+    """A feed whose dispatch raises breaks the session at once for every
+    feed still in flight, not only for itself and the ones behind it."""
+
+    @pytest.mark.parametrize("process_shards", [0, 1])
+    def test_in_flight_feeds_fail_with_the_session(
+        self, monkeypatch, process_shards
+    ):
+        from repro.core.wavepipe.batch import PackedSession
+        from repro.serve.shards import ProcessShardPool
+
+        # thread mode dispatches into the engine, process mode through
+        # the pool; either way the third dispatch raises
+        owner, name = (
+            (ProcessShardPool, "session_feed")
+            if process_shards
+            else (PackedSession, "feed")
+        )
+        real = getattr(owner, name)
+        calls = []
+        entered = threading.Event()
+        release = threading.Event()
+
+        def dispatch(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(TIMEOUT_S)  # let feeds 0-2 queue up behind
+            if len(calls) == 3:
+                raise RuntimeError("injected dispatch failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, dispatch)
+        netlist = _balanced()
+        block = random_vectors(netlist.n_inputs, 64, seed=0)
+        with SimulationServer(
+            shards=1, process_shards=process_shards
+        ) as server:
+            stream = server.open_stream(netlist)
+            warm = stream.feed(block)
+            assert entered.wait(TIMEOUT_S)
+            # feed 0 is dequeued with a backlog, so it is only pumped:
+            # its waves are in flight when feed 1's dispatch raises
+            futures = [stream.feed(block) for _ in range(3)]
+            release.set()
+            warm.result(TIMEOUT_S)
+            with pytest.raises(RuntimeError, match="injected"):
+                futures[1].result(TIMEOUT_S)
+            with pytest.raises(SessionClosed, match="is broken"):
+                futures[2].result(TIMEOUT_S)
+            # the stranded feed fails as soon as the session breaks,
+            # not when it is closed
+            with pytest.raises(SessionClosed, match="is broken") as info:
+                futures[0].result(2.0)
+            assert isinstance(info.value.__cause__, RuntimeError)
+            stream.close()
 
 
 class TestWireStreamDifferential:

@@ -1,17 +1,21 @@
 """Unit tests for the phase-accurate wave simulator (the Fig. 4 model)."""
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.wavepipe import (
     ClockingScheme,
     WaveNetlist,
+    WaveOutputs,
     golden_outputs,
     simulate_waves,
     wave_pipeline,
 )
 from repro.errors import SimulationError
+from repro.suite.table import get_benchmark
 
 from helpers import build_adder_mig, build_random_mig
 
@@ -145,3 +149,104 @@ class TestValidation:
             )
             assert report.outputs == golden_outputs(netlist, vectors)
             assert report.coherent
+
+
+class TestWaveOutputs:
+    """The report's bit-matrix type: list-like reads, exact value
+    semantics, and a compact pickle."""
+
+    @staticmethod
+    def _matrix(waves, width, seed=0):
+        return np.random.default_rng(seed).random((waves, width)) < 0.5
+
+    def test_equality_against_lists_and_matrices(self):
+        rows = [[True, False, True], [False, False, True]]
+        outputs = WaveOutputs(rows)
+        assert outputs == rows
+        assert rows == outputs  # reflected through list.__eq__
+        assert outputs == WaveOutputs(np.array(rows))
+        assert outputs != [[True, False, True]]
+        assert outputs != []
+        assert outputs != [[True, False], [False, False]]
+        # same bits, different shape: not equal
+        assert WaveOutputs([[True, False]]) != WaveOutputs([[True], [False]])
+        assert WaveOutputs([[True]]) != WaveOutputs([[False]])
+
+    def test_zero_wave_values_are_equal_whatever_their_width(self):
+        empty = WaveOutputs([])
+        assert empty == []
+        assert len(empty) == 0 and list(empty) == []
+        narrow = WaveOutputs(np.zeros((0, 1), dtype=bool))
+        wide = WaveOutputs(self._matrix(5, 142)[5:])
+        assert narrow == wide == empty
+        assert repr(narrow) == repr(wide) == repr(empty)
+
+    def test_array_is_read_only(self):
+        outputs = WaveOutputs(self._matrix(4, 3))
+        with pytest.raises(ValueError):
+            outputs.array[0, 0] = True
+        with pytest.raises(ValueError):
+            outputs[1:3].array[0, 0] = True
+        # wrapping freezes a view, never the caller's own array
+        source = self._matrix(2, 2)
+        WaveOutputs(source)
+        assert source.flags.writeable
+
+    def test_rows_are_python_bools_and_slices_stay_matrices(self):
+        bits = self._matrix(6, 4, seed=2)
+        outputs = WaveOutputs(bits)
+        assert isinstance(outputs[1:4], WaveOutputs)
+        assert outputs[1:4] == bits[1:4].tolist()
+        row = outputs[-1]
+        assert isinstance(row, list) and row == bits[-1].tolist()
+        assert all(type(bit) is bool for bit in row)
+        for got, want in zip(outputs, bits.tolist()):
+            assert type(got) is list and got == want
+            assert all(type(bit) is bool for bit in got)
+        assert outputs.tolist() == bits.tolist()
+        assert np.array_equal(np.asarray(outputs), bits)
+        with pytest.raises(IndexError):
+            outputs[6]
+
+    def test_repr_is_exact_not_a_numpy_summary(self):
+        bits = self._matrix(64, 142, seed=4)
+        flipped = bits.copy()
+        flipped[32, 71] = not flipped[32, 71]
+        assert repr(WaveOutputs(bits)) != repr(WaveOutputs(flipped))
+        assert "..." not in repr(WaveOutputs(bits))
+        assert repr(WaveOutputs(bits)) == repr(WaveOutputs(bits.copy()))
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(WaveOutputs([[True]]))
+
+    @pytest.mark.parametrize(
+        "waves,width",
+        [(0, 0), (0, 142), (3, 1), (5, 7), (5, 8), (5, 9), (64, 142)],
+    )
+    def test_pickle_round_trip(self, waves, width):
+        outputs = WaveOutputs(self._matrix(waves, width, seed=width))
+        back = pickle.loads(pickle.dumps(outputs, pickle.HIGHEST_PROTOCOL))
+        assert isinstance(back, WaveOutputs)
+        assert back == outputs and repr(back) == repr(outputs)
+        assert back.array.shape == (waves, width)
+        assert not back.array.flags.writeable
+
+    def test_report_pickles_bit_packed(self):
+        """An i2c 32-wave report crosses a shard pipe in under 1 KB (its
+        outputs as nested lists took ~4.8 KB)."""
+        netlist = wave_pipeline(get_benchmark("i2c").build()).netlist
+        vectors = _vectors(netlist.n_inputs, 32, seed=1)
+        report = simulate_waves(netlist, vectors, engine="packed")
+        payload = pickle.dumps(report, pickle.HIGHEST_PROTOCOL)
+        assert len(payload) <= 1024
+        assert pickle.loads(payload) == report
+
+    def test_both_engines_build_the_same_type(self, pipelined_adder):
+        vectors = _vectors(pipelined_adder.n_inputs, 9)
+        for engine in ("python", "packed"):
+            report = simulate_waves(pipelined_adder, vectors, engine=engine)
+            assert isinstance(report.outputs, WaveOutputs)
+            empty = simulate_waves(pipelined_adder, [], engine=engine)
+            assert isinstance(empty.outputs, WaveOutputs)
+            assert empty.outputs == []
